@@ -135,9 +135,10 @@ func (e *Engine) StreamSource(ctx context.Context, src Source, sink Sink) (Strea
 // Callers streaming many windows of the same space should compile the
 // iterator once (Iter.Plan) and pass the plan to every call: a plan does
 // not implement Planner, so its embodied-term slots are shared across
-// windows instead of being recompiled per call. The optimizer drivers
-// (internal/optimize) lean on this to evaluate contiguous candidate runs
-// through the kernel while skipping pruned blocks entirely.
+// windows instead of being recompiled per call. Production callers that
+// only reduce a window (the job runner, the optimizer drivers) use
+// ReduceRange instead; StreamRange is the ordered oracle the reduce path
+// and the job tests are checked against.
 func (e *Engine) StreamRange(ctx context.Context, src Source, lo, hi int, sink Sink) (StreamStats, error) {
 	if e.Model == nil {
 		return StreamStats{}, fmt.Errorf("explore: engine has no model")

@@ -1,9 +1,9 @@
 // Package jobs is the crash-resumable async exploration tier: a job is a
 // durable record — spec and params fingerprints, budget, a small state
-// machine — whose progress is a periodic checkpoint (the last completed
-// index-range cursor plus bit-exact snapshots of the online reducers).
-// Because the exploration cursor is positional (Space.Iter) and the
-// reducers restore bit-exactly (explore snapshot contract), a job
+// machine — whose progress is a periodic checkpoint (each index-range
+// shard's last completed cursor plus bit-exact snapshots of its online
+// reducers). Because the exploration cursor is positional (Space.Iter)
+// and the reducers restore bit-exactly (explore snapshot contract), a job
 // interrupted anywhere — worker panic, store write fault, dropped client,
 // hard process kill — resumes from its last checkpoint and converges to a
 // summary byte-identical to the uninterrupted run. The chaos harness
@@ -95,32 +95,34 @@ type Job struct {
 	Finished time.Time `json:"finished,omitempty"`
 }
 
-// Checkpoint is a job's durable progress: every candidate below NextIndex
-// is folded into the reducer snapshots. Re-running from NextIndex after
-// restoring the snapshots reproduces the uninterrupted reduction exactly
-// (the explore snapshot contract), which is what makes resume byte-exact.
+// Checkpoint is a job's durable progress. A job runs as K ≥ 1 fixed
+// index-range shards, each with its own cursor and reducer snapshots;
+// a crash resumes each shard from its own cursor, so only dirty shards
+// re-run. The first checkpoint fixes the shard ranges for the job's
+// lifetime.
 type Checkpoint struct {
-	NextIndex int `json:"next_index"`
-	// Ranked/Frontier/Stats are the serialized reducer states
-	// (explore.PointTopK, explore.PointFrontier, explore.RunningStats).
-	// Unused (null) when the job runs sharded.
-	Ranked   json.RawMessage `json:"ranked"`
-	Frontier json.RawMessage `json:"frontier"`
-	Stats    json.RawMessage `json:"stats"`
-	// Shards, when present, marks a sharded job: the candidate range is
-	// split into fixed index-range shards executed concurrently, each with
-	// its own cursor and reducer snapshots. NextIndex then reports the
-	// total completed candidate count (the sum of per-shard progress —
-	// still monotone), and a crash resumes each shard from its own cursor,
-	// so only dirty shards re-run.
-	Shards []ShardCheckpoint `json:"shards,omitempty"`
+	// NextIndex is the completed candidate count: the sum of per-shard
+	// progress, monotone across checkpoints.
+	NextIndex int               `json:"next_index"`
+	Shards    []ShardCheckpoint `json:"shards,omitempty"`
+	// Ranked/Frontier/Stats are the reducer snapshots of a legacy
+	// checkpoint, written before every job ran as shards. They are only
+	// read: replay upgrades such a checkpoint to the one shard it
+	// describes.
+	Ranked   json.RawMessage `json:"ranked,omitempty"`
+	Frontier json.RawMessage `json:"frontier,omitempty"`
+	Stats    json.RawMessage `json:"stats,omitempty"`
 }
 
-// ShardCheckpoint is one shard's durable progress inside a sharded job:
-// its fixed index range [Lo, Hi), its own next cursor, and its own reducer
-// snapshots. Merging every shard's restored snapshots in index order
-// reproduces the unsharded reduction bit for bit (the explore merge laws),
-// which is what keeps sharded summaries byte-identical to unsharded ones.
+// ShardCheckpoint is one shard's durable progress: its fixed index range
+// [Lo, Hi), its own next cursor, and its reducer snapshots
+// (explore.PointTopK, explore.PointFrontier, explore.RunningStats) folded
+// through NextIndex. Re-running from NextIndex after restoring the
+// snapshots reproduces the uninterrupted reduction exactly (the explore
+// snapshot contract), and merging every shard's snapshots in index order
+// reproduces the one-shard reduction bit for bit (the explore merge laws)
+// — which is what keeps summaries byte-identical however a job is split
+// or cut.
 type ShardCheckpoint struct {
 	Lo        int             `json:"lo"`
 	Hi        int             `json:"hi"`
@@ -162,20 +164,22 @@ var ErrNoDispatch = errors.New("jobs: no dispatch target")
 type Progress struct {
 	NextIndex int `json:"next_index"`
 	Total     int `json:"total"`
-	// Shards carries per-shard positions while a sharded job runs.
+	// Shards carries per-shard positions while a job of K > 1 shards
+	// runs; a one-shard job omits it.
 	Shards []ShardProgress `json:"shards,omitempty"`
 }
 
-// ShardProgress is one shard's position inside a sharded job.
+// ShardProgress is one shard's position inside a job of K > 1 shards.
 type ShardProgress struct {
 	Lo        int `json:"lo"`
 	Hi        int `json:"hi"`
 	NextIndex int `json:"next_index"`
 }
 
-// shardProgress projects shard checkpoints to their wire positions.
+// shardProgress projects shard checkpoints to their wire positions; one
+// shard has none beyond the job's own.
 func shardProgress(shards []ShardCheckpoint) []ShardProgress {
-	if len(shards) == 0 {
+	if len(shards) <= 1 {
 		return nil
 	}
 	out := make([]ShardProgress, len(shards))

@@ -46,21 +46,22 @@ type Options struct {
 	// MaxSpace bounds one job's evaluated candidates (≤0 = default).
 	MaxSpace int
 	// JobShards splits a large job into this many concurrently executed
-	// index-range shard sub-runs, each with its own checkpoint cursor and
-	// reducer snapshots (≤1 disables sharding). The final summary merges
+	// index-range shards, each with its own checkpoint cursor and reducer
+	// snapshots (≤1 runs the job as one shard). The final summary merges
 	// the restored shard snapshots in index order and is byte-identical to
-	// an unsharded run; a crash resumes only dirty shards.
+	// a one-shard run; a crash resumes only dirty shards.
 	JobShards int
-	// ShardAbove is the minimum candidate count before a job shards
-	// (≤0 = 4 × CheckpointEvery). Small jobs stay unsharded — shard
+	// ShardAbove is the minimum candidate count before a job splits
+	// (≤0 = 4 × CheckpointEvery). Smaller jobs run as one shard — shard
 	// bookkeeping would dominate.
 	ShardAbove int
-	// Dispatch, when set, is offered every shard chunk before local
-	// execution (a replica fleet, say). A dispatch error — including
-	// ErrNoDispatch — falls the chunk back to in-process execution of
-	// the same range: the chunk is a pure function of its snapshots, so
-	// running it locally after a failed (or half-finished) remote
-	// attempt cannot change a byte.
+	// Dispatch, when set, is offered every chunk of every shard — a
+	// one-shard job's included — before local execution (a replica
+	// fleet, say). A dispatch error — including ErrNoDispatch — falls
+	// the chunk back to in-process execution of the same range: the
+	// chunk is a pure function of its snapshots, so running it locally
+	// after a failed (or half-finished) remote attempt cannot change a
+	// byte.
 	Dispatch ChunkRunner
 	// RatePerSec/Burst token-bucket submissions per tenant (0 = unlimited).
 	RatePerSec float64
@@ -165,6 +166,7 @@ const (
 	stopCancel            // user cancel → terminal cancelled
 	stopPark              // shedding / drain → checkpointed and re-queued
 	stopAbort             // simulated crash → exit silently, persist nothing
+	stopFinish            // claimed by the runner: every shard is complete
 )
 
 // runHandle controls one running job.
@@ -174,9 +176,12 @@ type runHandle struct {
 	done   chan struct{}
 }
 
-func (h *runHandle) stop(r stopReason) {
-	h.reason.CompareAndSwap(int32(stopNone), int32(r))
+// stop requests a stop and reports whether the runner will honor it:
+// false when an earlier request won or the runner claimed the finish.
+func (h *runHandle) stop(r stopReason) bool {
+	ok := h.reason.CompareAndSwap(int32(stopNone), int32(r))
 	h.cancel()
+	return ok
 }
 
 // Service is the async job tier. Construct with New; all methods are safe
@@ -236,9 +241,14 @@ func New(opts Options) (*Service, error) {
 		baseStop: stop,
 		wake:     make(chan struct{}, 1),
 	}
+	// A crash can fall between a job's final appends. Replay completes
+	// them: an unfinished job with a durable summary event finishes as
+	// done, and a terminal job whose log lacks its final state event gets
+	// it, so event tailers always see the stream end.
+	var finished, unannounced []*jobEntry
 	for _, st := range states {
-		e := &jobEntry{job: st.Job, cp: st.Checkpoint, events: st.Events,
-			subs: make(map[chan struct{}]struct{})}
+		e := &jobEntry{job: st.Job, cp: upgradeCheckpoint(st.Checkpoint, st.Job.Total),
+			events: st.Events, subs: make(map[chan struct{}]struct{})}
 		for _, ev := range st.Events {
 			if ev.Type == "summary" {
 				e.summary = ev.Summary
@@ -252,17 +262,29 @@ func New(opts Options) (*Service, error) {
 		if st.Job.IdemKey != "" {
 			s.idem[idemKey(st.Job.Tenant, st.Job.IdemKey)] = st.Job.ID
 		}
-		switch st.Job.State {
-		case StateRunning, StateShedding:
+		if st.Job.State.Terminal() {
+			if n := len(st.Events); n == 0 || st.Events[n-1].State != st.Job.State {
+				unannounced = append(unannounced, e)
+			}
+			continue
+		}
+		s.lim.reserve(st.Job.Tenant)
+		if e.summary != nil {
+			finished = append(finished, e)
+			continue
+		}
+		if st.Job.State != StateQueued {
 			// Interrupted mid-run: resume from the last durable checkpoint.
 			e.job.State = StateQueued
-			s.queue = append(s.queue, st.Job.ID)
-			s.lim.reserve(st.Job.Tenant)
-			s.logf("job %s recovered (resuming at %d/%d)", st.Job.ID, cpIndex(st.Checkpoint), st.Job.Total)
-		case StateQueued:
-			s.queue = append(s.queue, st.Job.ID)
-			s.lim.reserve(st.Job.Tenant)
+			s.logf("job %s recovered (resuming at %d/%d)", st.Job.ID, cpIndex(e.cp), st.Job.Total)
 		}
+		s.queue = append(s.queue, st.Job.ID)
+	}
+	for _, e := range finished {
+		s.markDone(e, e.job.ID, e.summary)
+	}
+	for _, e := range unannounced {
+		s.emit(e.job.ID, Event{Type: "state", State: e.job.State})
 	}
 	s.schedWG.Add(1)
 	go s.scheduler()
@@ -286,6 +308,18 @@ func cpIndex(cp *Checkpoint) int {
 		return 0
 	}
 	return cp.NextIndex
+}
+
+// upgradeCheckpoint rewrites a legacy checkpoint — one cursor with the
+// reducer snapshots at top level, as jobs that predate one-shard runs
+// wrote them — as the single shard [0, total) it describes.
+func upgradeCheckpoint(cp *Checkpoint, total int) *Checkpoint {
+	if cp == nil || len(cp.Shards) > 0 {
+		return cp
+	}
+	return &Checkpoint{NextIndex: cp.NextIndex, Shards: []ShardCheckpoint{{
+		Lo: 0, Hi: total, NextIndex: cp.NextIndex,
+		Ranked: cp.Ranked, Frontier: cp.Frontier, Stats: cp.Stats}}}
 }
 
 func (s *Service) logf(format string, args ...any) {
@@ -421,20 +455,14 @@ func (s *Service) PartialSummary(id string) ([]byte, error) {
 		s.mu.Unlock()
 		return out, nil
 	}
-	cp := e.cp
+	var shards []ShardCheckpoint
+	if e.cp != nil {
+		shards = e.cp.Shards
+	}
 	total := e.job.Total
 	s.mu.Unlock()
-	// Top bound applies at the terminal summary, so both paths restore
-	// unbounded reducers here.
-	var (
-		red *reducers
-		err error
-	)
-	if cp != nil && len(cp.Shards) > 0 {
-		red, err = mergeShardCheckpoints(0, cp.Shards)
-	} else {
-		red, err = newReducers(0, cp)
-	}
+	// The top bound applies at the terminal summary; merge unbounded here.
+	red, err := mergeShardCheckpoints(0, shards)
 	if err != nil {
 		return nil, err
 	}
@@ -545,8 +573,8 @@ func (s *Service) Counters() Counters {
 }
 
 // Shed parks one running job at its next chunk boundary: its progress is
-// checkpointed and it re-enters the queue. Reports whether a job was
-// parked.
+// checkpointed and it re-enters the queue. Reports whether the park will
+// land — false when the job was already stopping or finishing.
 func (s *Service) Shed() bool {
 	s.mu.Lock()
 	var victim *runHandle
@@ -562,8 +590,7 @@ func (s *Service) Shed() bool {
 	if victim == nil {
 		return false
 	}
-	victim.stop(stopPark)
-	return true
+	return victim.stop(stopPark)
 }
 
 // BeginDrain stops starting new work and rejects new submissions; running
@@ -672,6 +699,9 @@ func (s *Service) scheduler() {
 			ctx, cancel := context.WithCancel(s.baseCtx)
 			h := &runHandle{cancel: cancel, done: make(chan struct{})}
 			s.running[id] = h
+			// Under the lock that checked drain: Shutdown and Abort set
+			// drain before they Wait, so they never race this Add.
+			s.wg.Add(1)
 			s.setStateLocked(e, StateRunning, "", "")
 			if e.job.Started.IsZero() {
 				e.job.Started = time.Now().UTC()
@@ -681,7 +711,6 @@ func (s *Service) scheduler() {
 
 			s.persist(Record{Kind: "job", Job: &job})
 			s.emit(id, Event{Type: "state", State: StateRunning})
-			s.wg.Add(1)
 			go func() {
 				defer s.wg.Done()
 				defer close(h.done)
@@ -767,9 +796,6 @@ func (s *Service) emit(id string, ev Event) {
 	}
 	ev.Seq = len(e.events) + 1
 	e.events = append(e.events, ev)
-	if ev.Type == "summary" {
-		e.summary = ev.Summary
-	}
 	subs := make([]chan struct{}, 0, len(e.subs))
 	for ch := range e.subs {
 		subs = append(subs, ch)

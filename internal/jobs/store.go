@@ -16,12 +16,14 @@ const (
 	// FaultPointAppend fires on every store append; an armed error makes
 	// the append fail (a full disk, an I/O error).
 	FaultPointAppend = "jobs.store.append"
-	// FaultPointSink fires once per delivered result inside the runner's
-	// sink; arming it to panic simulates a worker crash mid-range.
+	// FaultPointSink fires once per result a chunk folds, on whichever
+	// engine worker folds it and wherever the chunk runs (in-process or
+	// on a replica). An armed error fails the chunk; an armed panic
+	// simulates a worker crash mid-range.
 	FaultPointSink = "jobs.runner.sink"
-	// FaultPointShardChunk fires once per shard chunk before it reduces —
-	// the sharded-path analogue of FaultPointSink (the sequencer-free path
-	// has no per-result sink to fault).
+	// FaultPointShardChunk fires once per in-process chunk, on the shard's
+	// goroutine, before the chunk folds: it faults a whole chunk where
+	// FaultPointSink faults one result.
 	FaultPointShardChunk = "jobs.runner.shard"
 )
 
