@@ -12,15 +12,10 @@ import (
 	"repro/internal/jobs"
 )
 
-// TestDistOneShardJobRunsOnReplica: a job that is not split (JobShards 0)
-// runs as one shard, and with a replica configured its chunks go to the
-// replica like any shard's: every chunk completes remotely, none falls
-// back locally, progress carries no shard positions, and the summary is
-// byte-identical to the golden.
-func TestDistOneShardJobRunsOnReplica(t *testing.T) {
-	golden := goldenSummary(t, testSpec())
-	r1 := newReplica(t)
-	pool := dist.NewPool(dist.Options{Replicas: []string{r1.URL}})
+// newOneShardCoordinator builds a job service that does not split jobs
+// (JobShards 0) and offers every chunk to the pool first.
+func newOneShardCoordinator(t *testing.T, pool *dist.Pool) *jobs.Service {
+	t.Helper()
 	eng := explore.New(core.Default())
 	s, err := jobs.New(jobs.Options{
 		Resolve:         func(params []byte) (*explore.Engine, error) { return eng, nil },
@@ -35,6 +30,19 @@ func TestDistOneShardJobRunsOnReplica(t *testing.T) {
 		defer cancel()
 		s.Shutdown(ctx)
 	})
+	return s
+}
+
+// TestDistOneShardJobRunsOnReplica: a job that is not split (JobShards 0)
+// runs as one shard, and with a replica configured its chunks go to the
+// replica like any shard's: every chunk completes remotely, none falls
+// back locally, progress carries no shard positions, and the summary is
+// byte-identical to the golden.
+func TestDistOneShardJobRunsOnReplica(t *testing.T) {
+	golden := goldenSummary(t, testSpec())
+	r1 := newReplica(t)
+	pool := dist.NewPool(dist.Options{Replicas: []string{r1.URL}})
+	s := newOneShardCoordinator(t, pool)
 
 	job, err := s.Submit("chaos", "", testSpec())
 	if err != nil {

@@ -334,6 +334,10 @@ type Engine struct {
 
 	seqBypassed  atomic.Uint64
 	shardsMerged atomic.Uint64
+
+	// blocks recycles the ordered streams' block result slices across
+	// calls (see sequencer).
+	blocks blockPool
 }
 
 // SharedCache is a memoization cache that outlives any single engine: every

@@ -285,7 +285,9 @@ func streamSerial(ev *rangeEval, lo, hi int, sink Sink, st StreamStats) (StreamS
 	return st, ev.ctx.Err()
 }
 
-// blockPool recycles block result slices between workers.
+// blockPool recycles block result slices between workers. The engine
+// owns one, so ordered streams share their blocks across calls instead of
+// allocating a fresh set per call.
 type blockPool struct {
 	p sync.Pool
 }
@@ -309,8 +311,8 @@ type sequencer struct {
 	pending map[int][]Result // completed, undelivered blocks
 	next    int              // lowest undelivered block
 	sink    Sink
-	pool    blockPool
-	err     error // first sink error; delivery stops after it
+	pool    *blockPool // the engine's
+	err     error      // first sink error; delivery stops after it
 
 	inFlight int // candidates claimed but not delivered
 	peak     int
@@ -339,10 +341,10 @@ func (s *sequencer) claim(size int) {
 }
 
 // complete hands a finished block to the sequencer and drains the
-// contiguous frontier. Drained block slices go back to the pool so a
-// long stream recycles a fixed set of blocks instead of allocating one
-// per 64 candidates. Returns false when the stream has failed and workers
-// should stop claiming.
+// contiguous frontier. Drained block slices go back to the engine's pool,
+// so a long stream, and the streams after it, recycle a fixed set of
+// blocks instead of allocating one per 64 candidates. Returns false when
+// the stream has failed and workers should stop claiming.
 func (s *sequencer) complete(b int, results []Result) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -354,9 +356,11 @@ func (s *sequencer) complete(b int, results []Result) bool {
 		}
 		delete(s.pending, s.next)
 		s.next++
-		for _, r := range res {
+		// Indexed, not ranged: a range copies each Result once more before
+		// the sink's own by-value copy.
+		for i := range res {
 			if s.err == nil {
-				if err := s.sink(r); err != nil {
+				if err := s.sink(res[i]); err != nil {
 					s.err = err
 					break
 				}
@@ -385,7 +389,7 @@ func (s *sequencer) fail(err error) {
 
 func (e *Engine) streamParallel(ctx context.Context, src Source, lo, hi int, sink Sink,
 	st StreamStats, workers int, stop *atomic.Bool, tc *termCounters) (StreamStats, error) {
-	seq := &sequencer{pending: make(map[int][]Result), sink: sink}
+	seq := &sequencer{pending: make(map[int][]Result), sink: sink, pool: &e.blocks}
 	seq.cond = sync.NewCond(&seq.mu)
 	window := workers * maxAheadBlocks
 

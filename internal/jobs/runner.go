@@ -3,12 +3,13 @@
 // executed concurrently. Each shard advances in checkpoint-sized chunks
 // over the sequencer-free reduce path (explore.ReduceRange), and after
 // every chunk its cursor and reducer snapshots are persisted inside one
-// whole-job checkpoint record. Any interruption — panic, fault, park,
-// crash — resumes each shard from its own last durable cursor, so clean
-// shards are not re-evaluated; and because reducer restore is bit-exact
-// and the terminal summary merges the shard snapshots in index order (the
-// explore merge laws), the summary is byte-identical to an uninterrupted
-// run however many times, and however many ways, the job was cut.
+// whole-job checkpoint record, which also carries the chunk's progress
+// event. Any interruption — panic, fault, park, crash — resumes each shard
+// from its own last durable cursor, so clean shards are not re-evaluated;
+// and because reducer restore is bit-exact and the terminal summary
+// merges the shard snapshots in index order (the explore merge laws), the
+// summary is byte-identical to an uninterrupted run however many times,
+// and however many ways, the job was cut.
 package jobs
 
 import (
@@ -387,8 +388,8 @@ func (s *Service) run(ctx context.Context, h *runHandle, id string) {
 		cancel()
 	}
 	// persistShard commits one shard's advanced state as a whole-job
-	// checkpoint record (the record carries every shard's latest durable
-	// state) and emits the progress event.
+	// checkpoint (the record carries every shard's latest durable state)
+	// together with its progress event.
 	persistShard := func(i int, sc ShardCheckpoint) error {
 		mu.Lock()
 		defer mu.Unlock()
@@ -398,15 +399,10 @@ func (s *Service) run(ctx context.Context, h *runHandle, id string) {
 			// NextIndex is the monotone completed-candidate count.
 			ncp.NextIndex += o.NextIndex - o.Lo
 		}
-		if perr := s.persist(Record{Kind: "checkpoint", JobID: id, Checkpoint: &ncp}); perr != nil {
+		if perr := s.checkpoint(e, id, &ncp); perr != nil {
 			return perr
 		}
 		shards[i] = sc
-		s.mu.Lock()
-		e.cp = &ncp
-		s.mu.Unlock()
-		s.emit(id, Event{Type: "progress", Progress: &Progress{
-			NextIndex: ncp.NextIndex, Total: job.Total, Shards: shardProgress(ncp.Shards)}})
 		return nil
 	}
 

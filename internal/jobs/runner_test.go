@@ -295,15 +295,7 @@ func runRecords(t *testing.T) []Record {
 	store := &MemStore{}
 	s := newTestService(t, Options{Store: store})
 	job, _ := runToSummary(t, s, testSpec())
-	// The final state event follows the summary; wait for the whole log.
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		evs := s.More(job.ID, 1)
-		if last := evs[len(evs)-1]; last.Type == "state" && last.State == StateDone {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFinalEvent(t, s, job.ID, StateDone)
 	store.mu.Lock()
 	defer store.mu.Unlock()
 	return append([]Record(nil), store.recs...)

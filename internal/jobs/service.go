@@ -796,13 +796,49 @@ func (s *Service) emit(id string, ev Event) {
 	}
 	ev.Seq = len(e.events) + 1
 	e.events = append(e.events, ev)
+	subs := subscribers(e)
+	s.mu.Unlock()
+
+	s.persist(Record{Kind: "event", JobID: id, Event: &ev})
+	notify(subs)
+}
+
+// checkpoint makes cp durable together with the progress event that
+// announces it: one record, one append. Unlike emit, it publishes nothing
+// before the append succeeds — the checkpoint and its event become
+// visible together once durable, and a failed append leaves neither.
+func (s *Service) checkpoint(e *jobEntry, id string, cp *Checkpoint) error {
+	s.emitMu.Lock()
+	defer s.emitMu.Unlock()
+	s.mu.Lock()
+	ev := Event{Seq: len(e.events) + 1, Type: "progress", Progress: &Progress{
+		NextIndex: cp.NextIndex, Total: e.job.Total, Shards: shardProgress(cp.Shards)}}
+	s.mu.Unlock()
+	if err := s.persist(Record{Kind: "checkpoint", JobID: id, Checkpoint: cp, Event: &ev}); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	e.cp = cp
+	e.events = append(e.events, ev)
+	subs := subscribers(e)
+	s.mu.Unlock()
+	notify(subs)
+	return nil
+}
+
+// subscribers snapshots a job's subscriber channels; the caller holds
+// s.mu.
+func subscribers(e *jobEntry) []chan struct{} {
 	subs := make([]chan struct{}, 0, len(e.subs))
 	for ch := range e.subs {
 		subs = append(subs, ch)
 	}
-	s.mu.Unlock()
+	return subs
+}
 
-	s.persist(Record{Kind: "event", JobID: id, Event: &ev})
+// notify ticks each subscriber without blocking: a pending tick already
+// tells it to read.
+func notify(subs []chan struct{}) {
 	for _, ch := range subs {
 		select {
 		case ch <- struct{}{}:

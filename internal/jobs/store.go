@@ -27,8 +27,13 @@ const (
 	FaultPointShardChunk = "jobs.runner.shard"
 )
 
-// Record is one append-only store entry. Exactly one of Job, Event and
-// Checkpoint is set, per Kind.
+// Record is one append-only store entry. Kind names the body it carries:
+// a job record sets Job, an event record Event, a checkpoint record
+// Checkpoint. A checkpoint record may also carry the progress event that
+// announces it, so one append makes both durable; replay adds that event
+// to the job's log at its own seq, exactly where a separate event record
+// would have put it. Logs written with separate progress records replay
+// unchanged.
 type Record struct {
 	Kind string `json:"kind"` // "job" | "event" | "checkpoint"
 	// JobID scopes event and checkpoint records (job records carry their
@@ -92,6 +97,9 @@ func applyRecord(byID map[string]*JobState, order *[]string, rec Record) error {
 		}
 		cp := *rec.Checkpoint
 		st.Checkpoint = &cp
+		if rec.Event != nil {
+			st.Events = append(st.Events, *rec.Event)
+		}
 	default:
 		return fmt.Errorf("jobs: unknown record kind %q", rec.Kind)
 	}

@@ -115,4 +115,8 @@ type DistCounters struct {
 	// candidates this process evaluated via POST /v1/shards/run.
 	ShardRunsServed  uint64 `json:"shard_runs_served"`
 	CandidatesServed uint64 `json:"candidates_served"`
+	// PlansCompiled counts the spaces this process compiled to serve
+	// those chunks. A replica caches a few compiled plans, so it compiles
+	// about once per job rather than once per chunk.
+	PlansCompiled uint64 `json:"plans_compiled"`
 }

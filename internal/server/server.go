@@ -303,10 +303,12 @@ type Server struct {
 
 	// pool is the replica fleet shard chunks dispatch to (empty pool =
 	// every chunk runs locally); shardRuns/shardCands count the chunks
-	// this process served as a replica for some other coordinator.
+	// this process served as a replica for some other coordinator, and
+	// plans caches the compiled spaces those chunks fold through.
 	pool       *dist.Pool
 	shardRuns  atomic.Uint64
 	shardCands atomic.Uint64
+	plans      *planCache
 
 	inFlight  atomic.Int64
 	evaluated atomic.Uint64
@@ -368,6 +370,7 @@ func New(opts Options) *Server {
 		baseModel: m,
 		shared:    shared,
 		profiles:  newProfileCache(opts.maxProfiles()),
+		plans:     newPlanCache(),
 		metrics:   make(map[string]*endpointMetrics),
 	}
 	s.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
@@ -841,6 +844,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) int {
 		LocalFallbacks:   pc.LocalFallbacks,
 		ShardRunsServed:  s.shardRuns.Load(),
 		CandidatesServed: s.shardCands.Load(),
+		PlansCompiled:    s.plans.compiled.Load(),
 	}
 	for path, em := range s.metrics {
 		st := apitypes.EndpointStats{
