@@ -190,3 +190,111 @@ func TestChaosFailedCheckpointLeavesNoProgress(t *testing.T) {
 		}
 	}
 }
+
+// TestChaosLostEventAppendKeepsSeqsContiguous: an event whose append fails
+// through every retry is not published, so the next event takes its seq
+// and the live log is exactly what a replay of the store serves — seqs
+// stay contiguous across the restart. The terminal state event is the one
+// exception: it is published even when its append fails, so live tailers
+// see the stream end, and replay synthesizes it at the same seq.
+func TestChaosLostEventAppendKeepsSeqsContiguous(t *testing.T) {
+	contiguous := func(t *testing.T, evs []Event) {
+		t.Helper()
+		for i, ev := range evs {
+			if ev.Seq != i+1 {
+				seqs := make([]int, len(evs))
+				for j, ev := range evs {
+					seqs[j] = ev.Seq
+				}
+				t.Fatalf("event %d has seq %d: seqs %v", i, ev.Seq, seqs)
+			}
+		}
+	}
+
+	t.Run("lost queued event", func(t *testing.T) {
+		store := &MemStore{}
+		svc, err := New(Options{Store: store, Resolve: testResolve(t), CheckpointEvery: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		throttle := faultpoint.Arm(FaultPointSink, func() error {
+			time.Sleep(500 * time.Microsecond)
+			return nil
+		})
+		defer throttle()
+		// Let the job record through, then fail all four attempts of the
+		// queued event's append.
+		lost := faultpoint.ArmN(FaultPointAppend, 1, 4, func() error {
+			return errors.New("chaos: event append lost")
+		})
+		defer lost()
+		job, err := svc.Submit("chaos", "", testSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(30 * time.Second)
+		for time.Now().Before(deadline) {
+			if _, prog, _, _ := svc.Get(job.ID); prog.NextIndex > 0 && prog.NextIndex < prog.Total {
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+		svc.Abort()
+		throttle()
+		live, _, stop, err := svc.EventsSince(job.ID, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop()
+		contiguous(t, live)
+
+		// Replay the same store. The resumed run appends after the
+		// replayed prefix, which must be the live log exactly.
+		svc2 := newTestService(t, Options{Store: store, CheckpointEvery: 4})
+		replayed, _, stop2, err := svc2.EventsSince(job.ID, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop2()
+		if len(replayed) < len(live) || eventsJSON(t, replayed[:len(live)]) != eventsJSON(t, live) {
+			t.Fatalf("replayed log does not start with the live log\nlive:     %s\nreplayed: %s",
+				eventsJSON(t, live), eventsJSON(t, replayed))
+		}
+		contiguous(t, waitFinalEvent(t, svc2, job.ID, StateDone))
+	})
+
+	t.Run("lost terminal state event", func(t *testing.T) {
+		store := &dropTerminalStore{}
+		svc, err := New(Options{Store: store, Resolve: testResolve(t), CheckpointEvery: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		job, _ := runToSummary(t, svc, testSpec())
+		live := waitFinalEvent(t, svc, job.ID, StateDone)
+		svc.Abort()
+		contiguous(t, live)
+
+		svc2 := newTestService(t, Options{Store: store})
+		replayed := waitFinalEvent(t, svc2, job.ID, StateDone)
+		if eventsJSON(t, replayed) != eventsJSON(t, live) {
+			t.Fatalf("replay did not synthesize the lost final event at its live seq\nlive:     %s\nreplayed: %s",
+				eventsJSON(t, live), eventsJSON(t, replayed))
+		}
+		for k := 1; k <= len(live); k++ {
+			if got := svc2.More(job.ID, k); eventsJSON(t, got) != eventsJSON(t, live[k-1:]) {
+				t.Fatalf("EventsSince(%d) after replay = %s, want %s", k, eventsJSON(t, got), eventsJSON(t, live[k-1:]))
+			}
+		}
+	})
+}
+
+// dropTerminalStore is a MemStore whose appends of terminal state events
+// always fail: the job record is durable, its final event never is.
+type dropTerminalStore struct{ MemStore }
+
+func (d *dropTerminalStore) Append(rec Record) error {
+	if rec.Kind == "event" && rec.Event.Type == "state" && rec.Event.State.Terminal() {
+		return errors.New("chaos: terminal event append lost")
+	}
+	return d.MemStore.Append(rec)
+}
