@@ -391,8 +391,10 @@ func (p *Pool) failure(r *replica) {
 		r.openedAt = p.now()
 		if !wasOpen {
 			p.cBreakerOpened.Add(1)
+			// Read under the lock: other chunks' failures keep counting.
+			fails := r.fails
 			p.mu.Unlock()
-			p.logf("replica %s: breaker opened after %d consecutive failures", r.url, r.fails)
+			p.logf("replica %s: breaker opened after %d consecutive failures", r.url, fails)
 			return
 		}
 	}

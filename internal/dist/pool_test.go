@@ -8,8 +8,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -218,5 +221,31 @@ func TestRunExhaustedReportsFallback(t *testing.T) {
 	}
 	if c := p.Counters(); c.LocalFallbacks != 1 || c.Dispatched != 2 || c.Completed != 0 {
 		t.Fatalf("counters = %+v", c)
+	}
+}
+
+// failure logs a breaker opening after releasing the pool lock, while
+// other chunks failing or succeeding on the same replica keep writing its
+// failure count under that lock. The log line must read a count taken
+// under the lock; run under -race, concurrent rounds on one replica with
+// logging on prove it.
+func TestBreakerOpenLogRaceFree(t *testing.T) {
+	p := NewPool(Options{Replicas: []string{"http://a"}, BreakerThreshold: 1,
+		Logger: log.New(io.Discard, "", 0)})
+	r := p.replicas["http://a"]
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				p.failure(r)
+				p.success(r)
+			}
+		}()
+	}
+	wg.Wait()
+	if c := p.Counters(); c.BreakerOpened == 0 {
+		t.Fatalf("no breaker opening was logged: %+v", c)
 	}
 }

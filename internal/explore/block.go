@@ -14,12 +14,16 @@
 //   - the per-pair annual carbon and the Eq. 2 decision metrics, which are
 //     lifetime-invariant.
 //
-// What remains per candidate is a memo-cache probe, a stencil stamp (one
-// struct copy plus the annual×years product) and the ID string. The scalar
-// path (evaluateOne) is preserved intact as the bit-exactness oracle:
+// What remains per candidate is a stencil stamp (one struct copy plus the
+// annual×years product) and the ID string. The kernel never reads or
+// writes the whole-report memo cache: inside one planned space every index
+// is a distinct candidate, so a probe could only hit on the 2D baseline —
+// and the baseline is the run's own Mono2D candidate whenever that
+// candidate lies in the window being evaluated. The scalar path
+// (evaluateOne) is preserved intact as the memoizing bit-exactness oracle:
 // stamped reports are produced by the same floating-point program
-// (core.finishOperational both ways), counters follow the same laws, and
-// FuzzBlockVsScalar / TestBlockKernelMatchesScalar pin the equivalence.
+// (core.finishOperational both ways), and FuzzBlockVsScalar /
+// TestBlockKernelMatchesScalar pin the equivalence.
 package explore
 
 import (
@@ -92,9 +96,9 @@ func (e *Engine) evalBlock(p *iterPlan, cu *spaceCursor, bs *blockState,
 }
 
 // evalRun evaluates one run — candidates [start, end) inside outer point
-// `outer` — in three passes: decode the lifetime/pair columns, evaluate
-// (memo probe + stencil stamp) per candidate, then fill the decision
-// metrics as a tight loop over the columns.
+// `outer` — in three passes: decode the lifetime/pair columns, stamp a
+// report per candidate, then fill the decision metrics as a tight loop over
+// the columns.
 func (e *Engine) evalRun(p *iterPlan, cu *spaceCursor, bs *blockState,
 	outer, start, end int, tc *termCounters, stop *atomic.Bool, results []Result) ([]Result, bool) {
 	it := p.it
@@ -144,32 +148,32 @@ func (e *Engine) evalRun(p *iterPlan, cu *spaceCursor, bs *blockState,
 	ids := string(b)
 	bs.idBuf = b[:0]
 
-	// Pass 1b: the memo-key column, then one batched cache sweep — each
-	// shard's lock taken once for the whole run. The hoisted per-pair key
-	// prefix (hashOperationalPrefix) leaves two float folds per candidate;
-	// composed with finishOperationalHash the keys are bit-identical to
-	// the scalar path's memoKey.
-	memo := e.memo() // also pins the fingerprint words mixFP reads
-	for j := 0; j < n; j++ {
-		pi := int(bs.pi[j])
-		pp := &bs.preps[pi]
-		if !pp.keyBaseOK {
-			pp.keyBase = hashOperationalPrefix(cu.embKey(pi), &cu.designs[pi], it.base)
-			pp.keyBaseOK = true
+	// The 2D baseline at lifetime yi is the same evaluation as the run's
+	// Mono2D candidate at yi (their templates differ only by pointer), so
+	// the Mono2D candidates of this window are stamped first and serve as
+	// the baselines of their lifetimes. A lifetime whose Mono2D candidate
+	// lies outside the window stamps its baseline lazily in pass 2.
+	baseD := &cu.designs[P]
+	if pm := bs.mono; pm >= 0 {
+		hint := termHint{slot: p.slot(gn, fi, pm), key: cu.embKey(pm), keyed: true}
+		for yi := rel0 / P; yi*P+pm < rel0+n; yi++ {
+			if yi*P+pm < rel0 {
+				continue
+			}
+			w := it.base
+			w.LifetimeYears = it.years[yi]
+			bs.baseRep[yi], bs.baseErr[yi] = e.stamp(&cu.designs[pm], w, it.eff, hint, tc, &rc,
+				p.stencilSlot(gn, fi, pm), &bs.preps[pm], bs)
+			bs.baseSet[yi] = true
 		}
-		bs.keys = append(bs.keys, e.mixFP(finishOperationalHash(pp.keyBase, bs.years[j], it.eff)))
-	}
-	if ev := memo.getBatch(bs.keys, bs.ents[:n], bs.hitCol[:n]); ev > 0 {
-		e.evictions.Add(uint64(ev))
 	}
 
-	// Pass 2: evaluate. The memo probe and stencil stamp per candidate;
-	// embodied term, operational stencil, use intensity, baseline report
-	// and decision-metric inputs all resolve at most once per run (or per
-	// plan, for the shared slots). Results are built in place in the
-	// output slice — no per-candidate Result copy — and IDs are substring
-	// views of the run's one ids string.
-	baseD := &cu.designs[P]
+	// Pass 2: evaluate. One stencil stamp per candidate; embodied term,
+	// operational stencil, use intensity, baseline report and
+	// decision-metric inputs all resolve at most once per run (or per plan,
+	// for the shared slots). Results are built in place in the output
+	// slice — no per-candidate Result copy — and IDs are substring views of
+	// the run's one ids string.
 	base := len(results)
 	for j := 0; j < n; j++ {
 		if stop.Load() {
@@ -196,13 +200,14 @@ func (e *Engine) evalRun(p *iterPlan, cu *spaceCursor, bs *blockState,
 		}
 
 		pp := &bs.preps[pi]
-		ent := bs.ents[j]
-		if bs.hitCol[j] {
-			bs.hits++
+		var rep *core.TotalReport
+		var err error
+		if pi == bs.mono {
+			rep, err = bs.baseRep[yi], bs.baseErr[yi] // stamped above
+		} else {
+			rep, err = e.stamp(r.Candidate.Design, w, it.eff, r.Candidate.hint, tc, &rc,
+				p.stencilSlot(gn, fi, pi), pp, bs)
 		}
-		e.resolveEntry(ent, r.Candidate.Design, w, it.eff, r.Candidate.hint, tc, &rc,
-			p.stencilSlot(gn, fi, pi), pp, bs)
-		rep, err := ent.rep, ent.err
 		if err != nil {
 			r.Err = err
 			continue
@@ -212,11 +217,11 @@ func (e *Engine) evalRun(p *iterPlan, cu *spaceCursor, bs *blockState,
 			continue
 		}
 
-		// The 2D baseline, evaluated lazily once per (run, lifetime) —
-		// exactly when the first candidate needing it succeeds, as the
-		// scalar path does.
+		// A baseline outside its Mono2D candidate's window, stamped once
+		// per (run, lifetime) — exactly when the first candidate needing
+		// it succeeds, as the scalar path evaluates it.
 		if !bs.baseSet[yi] {
-			bs.baseRep[yi], bs.baseErr[yi] = e.blockTotal(baseD, w, it.eff,
+			bs.baseRep[yi], bs.baseErr[yi] = e.stamp(baseD, w, it.eff,
 				r.Candidate.baseHint, tc, &rc, p.stencilSlot(gn, fi, P), &bs.preps[P], bs)
 			bs.baseSet[yi] = true
 		}
@@ -280,10 +285,6 @@ func (e *Engine) evalRun(p *iterPlan, cu *spaceCursor, bs *blockState,
 // completion are identical to per-candidate increments; only mid-stream
 // Stats() snapshots coarsen to run granularity.
 func (e *Engine) flushCounters(bs *blockState, tc *termCounters) {
-	if bs.hits > 0 {
-		e.hits.Add(bs.hits)
-		bs.hits = 0
-	}
 	if bs.evals > 0 {
 		e.evals.Add(bs.evals)
 		bs.evals = 0
@@ -299,76 +300,46 @@ func (e *Engine) flushCounters(bs *blockState, tc *termCounters) {
 	}
 }
 
-// blockTotal is the kernel's counterpart of Engine.total for one off-column
-// evaluation (the lazily demanded 2D baseline): the same memo cache and
-// counter laws, with the key composed from the hoisted per-pair prefix.
-func (e *Engine) blockTotal(d *design.Design, w workload.Workload, eff units.Efficiency,
+// stamp computes one report through the stencil-stamp path into the
+// worker's arena. It writes no memo entry: besides the worker's own
+// scratch, it only resolves the plan's resolve-once embodied and stencil
+// slots. Error ordering matches the scalar path exactly: embodied term,
+// then workload validation, then the use-grid lookup, then the
+// (stenciled) operational prefix.
+func (e *Engine) stamp(d *design.Design, w workload.Workload, eff units.Efficiency,
 	hint termHint, tc *termCounters, rc *runCtx, ss *stencilSlot,
 	pp *pairPrep, bs *blockState) (*core.TotalReport, error) {
-	memo := e.memo() // also pins the fingerprint words mixFP reads
-	if !pp.keyBaseOK {
-		pp.keyBase = hashOperationalPrefix(hint.key, d, w)
-		pp.keyBaseOK = true
+	bs.evals++
+	if !pp.erOK {
+		pp.er, pp.erErr = e.embodiedFor(d, hint, tc)
+		pp.erOK = true
+	} else {
+		// Reusing the run's resolved term: exactly the hit embodiedFor
+		// would have counted, batched for the run flush.
+		bs.embHits++
 	}
-	// Identical to memoKey for a keyed hint: hashOperational composes
-	// from the same prefix and finish.
-	key := e.mixFP(finishOperationalHash(pp.keyBase, w.LifetimeYears, eff))
-	ent, ok, evicted := memo.get(key)
-	if evicted > 0 {
-		e.evictions.Add(uint64(evicted))
+	if pp.erErr != nil {
+		return nil, pp.erErr
 	}
-	if ok {
-		bs.hits++
+	if err := w.Validate(); err != nil {
+		return nil, err
 	}
-	e.resolveEntry(ent, d, w, eff, hint, tc, rc, ss, pp, bs)
-	return ent.rep, ent.err
-}
-
-// resolveEntry runs a memo entry's resolve-once evaluation through the
-// stencil-stamp path. Error ordering matches the scalar path exactly:
-// embodied term, then workload validation, then the use-grid lookup, then
-// the (stenciled) operational prefix.
-func (e *Engine) resolveEntry(ent *memoEntry, d *design.Design, w workload.Workload,
-	eff units.Efficiency, hint termHint, tc *termCounters, rc *runCtx,
-	ss *stencilSlot, pp *pairPrep, bs *blockState) {
-	ent.once.Do(func() {
-		bs.evals++
-		if !pp.erOK {
-			pp.er, pp.erErr = e.embodiedFor(d, hint, tc)
-			pp.erOK = true
-		} else {
-			// Reusing the run's resolved term: exactly the hit
-			// embodiedFor would have counted, batched for the run flush.
-			bs.embHits++
-		}
-		er, err := pp.er, pp.erErr
-		if err != nil {
-			ent.err = err
-			return
-		}
-		if err := w.Validate(); err != nil {
-			ent.err = err
-			return
-		}
-		if rc.useErr != nil {
-			ent.err = rc.useErr
-			return
-		}
-		ss.once.Do(func() {
-			bs.stencils++
-			ss.st, ss.err = e.Model.OperationalStencilFrom(er, d, w, eff)
-		})
-		if ss.err != nil {
-			ent.err = ss.err
-			return
-		}
-		if !pp.annualOK {
-			pp.annual = ss.st.AnnualCarbon(rc.useCI)
-			pp.annualOK = true
-		}
-		pr := bs.arena.next()
-		lifetime := units.KilogramsCO2(pp.annual.Kg() * w.LifetimeYears)
-		ss.st.Complete(&pr.t, &pr.o, pp.annual, lifetime)
-		ent.rep = &pr.t
+	if rc.useErr != nil {
+		return nil, rc.useErr
+	}
+	ss.once.Do(func() {
+		bs.stencils++
+		ss.st, ss.err = e.Model.OperationalStencilFrom(pp.er, d, w, eff)
 	})
+	if ss.err != nil {
+		return nil, ss.err
+	}
+	if !pp.annualOK {
+		pp.annual = ss.st.AnnualCarbon(rc.useCI)
+		pp.annualOK = true
+	}
+	pr := bs.arena.next()
+	lifetime := units.KilogramsCO2(pp.annual.Kg() * w.LifetimeYears)
+	ss.st.Complete(&pr.t, &pr.o, pp.annual, lifetime)
+	return &pr.t, nil
 }

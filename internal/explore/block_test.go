@@ -178,9 +178,11 @@ func TestBlockKernelMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestBlockKernelWarmMatchesScalar re-streams a space on warm engines:
-// the second pass must be bit-identical too (memo-hit path), and the warm
-// block stream must report zero new evaluations.
+// TestBlockKernelWarmMatchesScalar re-streams a space on warm engines: the
+// second pass must be bit-identical too (the scalar oracle answers it from
+// its memo, the kernel stamps every candidate afresh), and the warm block
+// stream must leave the whole-report memo untouched — no new cache hits,
+// no new entries.
 func TestBlockKernelWarmMatchesScalar(t *testing.T) {
 	m := core.Default()
 	s := fanoutBenchSpace()
@@ -188,7 +190,7 @@ func TestBlockKernelWarmMatchesScalar(t *testing.T) {
 	blockEng := &Engine{Model: m}
 	collectStream(t, scalarEng, s)
 	collectStream(t, blockEng, s)
-	evalsAfterCold := blockEng.Stats().Evaluations
+	cold := blockEng.Stats()
 
 	want, _ := collectStream(t, scalarEng, s)
 	got, _ := collectStream(t, blockEng, s)
@@ -197,15 +199,62 @@ func TestBlockKernelWarmMatchesScalar(t *testing.T) {
 			t.Fatalf("warm result %d (%s): %s", i, want[i].Candidate.ID, d)
 		}
 	}
-	if evals := blockEng.Stats().Evaluations; evals != evalsAfterCold {
-		t.Errorf("warm block stream computed %d new evaluations", evals-evalsAfterCold)
+	if os.Getenv(ScalarOnlyEnv) != "" {
+		return // both engines ran the memoizing oracle; the kernel's memo law is vacuous
+	}
+	warm := blockEng.Stats()
+	if warm.CacheHits != cold.CacheHits || warm.CacheEntries != cold.CacheEntries {
+		t.Errorf("warm block stream touched the memo: hits %d → %d, entries %d → %d",
+			cold.CacheHits, warm.CacheHits, cold.CacheEntries, warm.CacheEntries)
 	}
 }
 
-// TestBlockKernelCounterLaws pins the kernel to the scalar path's counter
-// algebra on a cold engine: Evaluations = distinct keys, embodied hits +
-// misses = evaluations, and the kernel-specific counters are consistent
-// with the space shape.
+// kernelEvaluations derives, from the layout of a space whose candidates
+// all evaluate, how many reports a block-kernel stream computes: one per
+// candidate, plus one 2D baseline per (window piece, lifetime) whose
+// Mono2D candidate lies outside the piece while some candidate that needs
+// the baseline lies inside it. Windows are the streamBlock-aligned blocks,
+// cut at run boundaries; mono is the Mono2D pair index (-1 when the space
+// has none, so every lifetime of every piece stamps its own baseline).
+func kernelEvaluations(d Dims, mono int) int {
+	span := d.Pairs * d.Years
+	n := d.Size()
+	evals := n
+	for ws := 0; ws < n; ws += streamBlock {
+		we := min(ws+streamBlock, n)
+		for ps := ws; ps < we; {
+			run := ps / span
+			pe := min(we, (run+1)*span)
+			for yi := 0; yi < d.Years; yi++ {
+				seg := run*span + yi*d.Pairs // first candidate of this lifetime
+				needs, monoIn := false, false
+				for pi := 0; pi < d.Pairs; pi++ {
+					if i := seg + pi; i >= ps && i < pe {
+						if pi == mono {
+							monoIn = true
+						} else {
+							needs = true
+						}
+					}
+				}
+				if needs && !monoIn {
+					evals++
+				}
+			}
+			ps = pe
+		}
+	}
+	return evals
+}
+
+// TestBlockKernelCounterLaws pins the kernel's counter algebra on a cold
+// engine. The kernel stamps every candidate without the memo, so its
+// Evaluations are the candidates plus the baselines stamped outside their
+// Mono2D candidate's window (kernelEvaluations), where the memoizing
+// scalar oracle computes one per distinct key. Both resolve one embodied
+// term per computed report — hits + misses = evaluations — and miss
+// exactly once per distinct embodied design. The kernel-specific counters
+// are consistent with the space shape.
 func TestBlockKernelCounterLaws(t *testing.T) {
 	if os.Getenv(ScalarOnlyEnv) != "" {
 		t.Skipf("%s set: kernel forced off, counter laws vacuous", ScalarOnlyEnv)
@@ -215,19 +264,36 @@ func TestBlockKernelCounterLaws(t *testing.T) {
 	blockEng := &Engine{Model: core.Default()}
 	_, scalarSt := collectStream(t, scalarEng, s)
 	_, blockSt := collectStream(t, blockEng, s)
-	if scalarSt.EmbodiedHits != blockSt.EmbodiedHits || scalarSt.EmbodiedMisses != blockSt.EmbodiedMisses {
-		t.Errorf("embodied counters diverge: scalar hits/misses %d/%d, block %d/%d",
-			scalarSt.EmbodiedHits, scalarSt.EmbodiedMisses, blockSt.EmbodiedHits, blockSt.EmbodiedMisses)
+	it, err := s.Iter()
+	if err != nil {
+		t.Fatal(err)
 	}
+	// The fanout space lists Mono2D first, so its pair index is 0.
+	wantEvals := kernelEvaluations(it.Dims(), 0)
 	ses, bes := scalarEng.Stats(), blockEng.Stats()
-	if ses.Evaluations != bes.Evaluations {
-		t.Errorf("evaluations diverge: scalar %d, block %d", ses.Evaluations, bes.Evaluations)
+	if ses.Evaluations != uint64(s.Size()) {
+		t.Errorf("scalar evaluations %d, want %d distinct keys", ses.Evaluations, s.Size())
 	}
-	// CacheHits is deliberately not compared: probe counts depend on the
-	// shape of the walk (the scalar path's consecutive-baseline shortcut,
-	// the kernel's per-fragment baseline cache), and already vary with the
-	// worker count on the scalar path. The laws are the computed-work
-	// counters above, not the probe tallies.
+	if bes.Evaluations != uint64(wantEvals) {
+		t.Errorf("block evaluations %d, want %d (%d candidates + %d baselines outside their Mono2D window)",
+			bes.Evaluations, wantEvals, s.Size(), wantEvals-s.Size())
+	}
+	if scalarSt.EmbodiedMisses != s.Designs() || blockSt.EmbodiedMisses != s.Designs() {
+		t.Errorf("embodied misses: scalar %d, block %d, want %d distinct embodied designs",
+			scalarSt.EmbodiedMisses, blockSt.EmbodiedMisses, s.Designs())
+	}
+	if got := uint64(scalarSt.EmbodiedHits + scalarSt.EmbodiedMisses); got != ses.Evaluations {
+		t.Errorf("scalar embodied hits %d + misses %d != %d evaluations",
+			scalarSt.EmbodiedHits, scalarSt.EmbodiedMisses, ses.Evaluations)
+	}
+	if got := uint64(blockSt.EmbodiedHits + blockSt.EmbodiedMisses); got != bes.Evaluations {
+		t.Errorf("block embodied hits %d + misses %d != %d evaluations",
+			blockSt.EmbodiedHits, blockSt.EmbodiedMisses, bes.Evaluations)
+	}
+	// The kernel never probes or fills the whole-report memo.
+	if bes.CacheHits != 0 || bes.CacheEntries != 0 {
+		t.Errorf("block stream touched the memo: hits=%d entries=%d", bes.CacheHits, bes.CacheEntries)
+	}
 	if bes.BlockCandidates != uint64(blockSt.BlockCandidates) || blockSt.BlockCandidates != s.Size() {
 		t.Errorf("block candidates %d (stream %d), want %d", bes.BlockCandidates, blockSt.BlockCandidates, s.Size())
 	}
@@ -236,6 +302,63 @@ func TestBlockKernelCounterLaws(t *testing.T) {
 	}
 	if sbs := scalarEng.Stats(); sbs.BlockCandidates != 0 {
 		t.Errorf("scalar oracle engine evaluated %d candidates through the kernel", sbs.BlockCandidates)
+	}
+}
+
+// TestBlockKernelBaselineReuse covers the pair orders the default spaces
+// do not: Mono2D listed last, so a window stamps a lifetime's Mono2D
+// candidate ahead of the candidates before it that take it as their
+// baseline, and no Mono2D pair at all, so every baseline is stamped on its
+// own. Both must stay bit-identical to the scalar oracle (wafer failures
+// included), and, where every candidate evaluates, compute exactly the
+// reports kernelEvaluations derives, with one embodied lookup per report
+// and the oracle's misses.
+func TestBlockKernelBaselineReuse(t *testing.T) {
+	m := core.Default()
+	uses := []grid.Location{grid.USA, grid.India, grid.Norway}
+	years := []float64{1, 3, 5, 10, 15}
+	strats := []split.Strategy{split.HomogeneousStrategy, split.HeterogeneousStrategy}
+	cases := []struct {
+		s    Space
+		mono int
+	}{
+		{Space{Name: "mono2d-last", Strategies: strats, NodesNM: []int{5, 7}, UseLocations: uses, LifetimeYears: years,
+			Integrations: []ic.Integration{ic.Hybrid3D, ic.MCM, ic.EMIB, ic.Mono2D}}, 3},
+		{Space{Name: "no-mono2d", Strategies: strats, NodesNM: []int{5, 7}, UseLocations: uses, LifetimeYears: years,
+			Integrations: []ic.Integration{ic.Hybrid3D, ic.SiInterposer}}, -1},
+	}
+	for _, tc := range cases {
+		failing := tc.s
+		failing.Name += "-failures"
+		failing.Gates = []float64{17e9, 500e9}
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", tc.s.Name, workers), func(t *testing.T) {
+				diffSpace(t, m, tc.s, workers, true)
+				diffSpace(t, m, failing, workers, true)
+				if os.Getenv(ScalarOnlyEnv) != "" {
+					return // the count law is the kernel's
+				}
+				it, err := tc.s.Iter()
+				if err != nil {
+					t.Fatal(err)
+				}
+				scalarEng := &Engine{Model: m, ScalarOnly: true, Workers: workers}
+				blockEng := &Engine{Model: m, Workers: workers}
+				_, scalarSt := collectStream(t, scalarEng, tc.s)
+				_, blockSt := collectStream(t, blockEng, tc.s)
+				evals := blockEng.Stats().Evaluations
+				if want := kernelEvaluations(it.Dims(), tc.mono); evals != uint64(want) {
+					t.Errorf("block evaluations %d, want %d for %d candidates", evals, want, tc.s.Size())
+				}
+				if got := uint64(blockSt.EmbodiedHits + blockSt.EmbodiedMisses); got != evals {
+					t.Errorf("embodied hits %d + misses %d != %d evaluations",
+						blockSt.EmbodiedHits, blockSt.EmbodiedMisses, evals)
+				}
+				if blockSt.EmbodiedMisses != scalarSt.EmbodiedMisses {
+					t.Errorf("embodied misses: block %d, scalar %d", blockSt.EmbodiedMisses, scalarSt.EmbodiedMisses)
+				}
+			})
+		}
 	}
 }
 

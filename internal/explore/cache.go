@@ -161,43 +161,6 @@ func (c *memoCache[E]) get(key keyPair) (ent *E, hit bool, evicted int) {
 	return ent, false, evicted
 }
 
-// getBatch is get over a key column: ents[i] and hits[i] are filled for
-// every keys[i], with each shard's lock taken once per call instead of
-// once per key — the block kernel probes a whole run in one sweep.
-// Bounded caches fall back to per-key gets (eviction bookkeeping is
-// per-access); the returned evicted count covers that path.
-func (c *memoCache[E]) getBatch(keys []keyPair, ents []*E, hits []bool) (evicted int) {
-	if c.shards[0].limit > 0 {
-		for i, k := range keys {
-			var ev int
-			ents[i], hits[i], ev = c.get(k)
-			evicted += ev
-		}
-		return evicted
-	}
-	for si := range c.shards {
-		s := &c.shards[si]
-		s.mu.Lock()
-		for i, k := range keys {
-			if k.lo&c.mask != uint64(si) {
-				continue
-			}
-			ent, hit := s.plain[k]
-			if !hit {
-				if len(s.slab) == 0 {
-					s.slab = make([]E, shardSlab)
-				}
-				ent = &s.slab[0]
-				s.slab = s.slab[1:]
-				s.plain[k] = ent
-			}
-			ents[i], hits[i] = ent, hit
-		}
-		s.mu.Unlock()
-	}
-	return 0
-}
-
 // entries sums the resident entry counts across shards.
 func (c *memoCache[E]) entries() int {
 	total := 0

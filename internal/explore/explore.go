@@ -8,9 +8,12 @@
 //
 // The engine is the shared evaluation substrate of the CLI tools: cmd/sweep,
 // cmd/drivestudy and internal/casestudy all fan their design grids through
-// Engine.Evaluate instead of hand-rolled serial loops. Evaluation results
-// are memoized by a canonical design hash, so the 2D baseline every
-// comparison shares is computed exactly once per workload.
+// Engine.Evaluate instead of hand-rolled serial loops. On the scalar path
+// (Evaluate, unplanned sources) evaluation results are memoized by a
+// canonical design hash, so the 2D baseline every comparison shares is
+// computed exactly once per workload. Planned space streams run through the
+// columnar block kernel (block.go) instead, which stamps every candidate
+// fresh and takes each 2D baseline from the run's own Mono2D candidate.
 package explore
 
 import (
@@ -47,8 +50,9 @@ type Candidate struct {
 	// Eff is the surveyed chip efficiency for dies without their own.
 	Eff units.Efficiency
 	// Baseline optionally names the 2D design the Eq. 2 metrics compare
-	// against. It is evaluated through the same memoized path, so a
-	// baseline shared by many candidates is computed once.
+	// against. The scalar path evaluates it through the memo, so a
+	// baseline shared by many candidates is computed once; the block
+	// kernel reuses the run's own Mono2D report where it can.
 	Baseline *design.Design
 
 	// hint and baseHint carry compiled embodied-term state attached by a
@@ -195,13 +199,17 @@ func (r Result) Total() float64 {
 
 // Stats are the engine's evaluation counters.
 type Stats struct {
-	// Evaluations is the number of distinct (design, workload) evaluations
-	// actually computed.
+	// Evaluations is the number of reports actually computed. The scalar
+	// path computes one per distinct (design, workload) memo key; the
+	// block kernel, which bypasses the memo, one per candidate plus one per
+	// 2D baseline it stamps outside its Mono2D candidate's window.
 	Evaluations uint64
-	// CacheHits is the number of evaluations answered from the
-	// memoization cache.
+	// CacheHits is the number of scalar-path evaluations answered from the
+	// memoization cache. Planned kernel streams never probe it and add
+	// none.
 	CacheHits uint64
-	// CacheEntries is the current number of memoized evaluations.
+	// CacheEntries is the current number of memoized evaluations — scalar
+	// path only; planned kernel streams insert none.
 	CacheEntries int
 	// Evictions is the number of memoized evaluations dropped to keep the
 	// cache inside CacheLimit.
@@ -246,7 +254,8 @@ type Stats struct {
 }
 
 // HitRate returns the fraction of evaluation requests answered from the
-// cache (0 when nothing has been evaluated yet).
+// cache (0 when nothing has been evaluated yet). Kernel evaluations count
+// as requests the cache never saw, so planned streams lower it.
 func (s Stats) HitRate() float64 {
 	total := s.Evaluations + s.CacheHits
 	if total == 0 {
@@ -265,10 +274,12 @@ func (s Stats) EmbodiedReuseRate() float64 {
 	return float64(s.EmbodiedCacheHits) / float64(total)
 }
 
-// Engine evaluates candidates concurrently with a shared memoization cache.
-// An Engine is safe for concurrent use; the cache persists across Evaluate
-// calls, so one engine shared between related studies (e.g. the two Fig. 5
-// strategies) reuses their common evaluations.
+// Engine evaluates candidates concurrently. An Engine is safe for
+// concurrent use. Its memoization cache serves the scalar path and persists
+// across Evaluate calls, so one engine shared between related studies
+// (e.g. the two Fig. 5 strategies) reuses their common evaluations; its
+// embodied sub-term cache serves both paths, so a planned stream through
+// the block kernel reuses every embodied term an earlier call computed.
 //
 // Memo keys mix in the model's ParameterSet fingerprint, so engines over
 // different parameter profiles that share one cache (see SharedCache) can
@@ -284,8 +295,9 @@ type Engine struct {
 	// CacheLimit bounds the memoization cache to this many distinct
 	// evaluations, evicted least-recently-used; ≤0 means unbounded. A
 	// long-running process (cmd/serve) sets this so arbitrary request
-	// streams cannot grow the cache without bound. Ignored when Cache is
-	// set.
+	// streams cannot grow the cache without bound. Only the scalar path
+	// fills the cache; planned kernel streams leave it as they found it.
+	// Ignored when Cache is set.
 	CacheLimit int
 	// CacheShards overrides the memo shard count (rounded up to a power of
 	// two). ≤0 picks one shard per core up to 16, degraded so a bounded

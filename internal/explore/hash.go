@@ -120,33 +120,14 @@ func hashEmbodied(d *design.Design) keyPair {
 // hashOperational extends an embodied sub-key with the operational-only
 // fields: use grid, workload and chip efficiency. The full evaluation key
 // is therefore a pure suffix of its embodied key — the engine derives both
-// from one pass over the design. Split into a lifetime-invariant prefix
-// and a two-word finish so the block kernel can hoist the prefix per
-// (run, pair) and fold only the lifetime and efficiency per candidate;
-// composing the halves is bit-identical to the one-shot form by
-// construction.
+// from one pass over the design.
 func hashOperational(base keyPair, d *design.Design, w workload.Workload, eff units.Efficiency) keyPair {
-	h := hashOperationalPrefix(base, d, w)
-	return finishOperationalHash(h, w.LifetimeYears, eff)
-}
-
-// hashOperationalPrefix folds the fields of the operational suffix that do
-// not vary across a lifetime fan-out: the use grid and the workload's
-// throughput/duty terms.
-func hashOperationalPrefix(base keyPair, d *design.Design, w workload.Workload) hash128 {
 	h := hash128{hi: base.hi, lo: base.lo}
 	h.str(string(d.UseLocation))
 	h.f64(float64(w.Throughput))
 	h.f64(float64(w.PeakThroughput))
 	h.f64(w.ActiveHoursPerYear)
-	return h
-}
-
-// finishOperationalHash folds the per-candidate tail onto a hoisted
-// prefix: lifetime years, then efficiency — the same order hashOperational
-// always used.
-func finishOperationalHash(h hash128, lifetimeYears float64, eff units.Efficiency) keyPair {
-	h.f64(lifetimeYears)
+	h.f64(w.LifetimeYears)
 	h.f64(float64(eff))
 	return h.sum()
 }

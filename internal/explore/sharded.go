@@ -10,7 +10,7 @@
 //
 // Determinism argument. Per-candidate Results are bit-identical to the
 // ordered path's: both evaluate through the same per-goroutine evaluator
-// (rangeEval) over the same memoized model. Given that, each reducer
+// (rangeEval) over the same model. Given that, each reducer
 // reproduces the single-pass ordered fold exactly:
 //
 //   - TopK/PointTopK: the comparator is a total order, so the retained set
@@ -183,7 +183,7 @@ func (e *Engine) reduceRange(ctx context.Context, src Source, lo, hi int, rs []R
 	if n == 0 {
 		return st, ctx.Err()
 	}
-	e.memo().reserve(n)
+	e.prepareCache(src, n)
 	tc := &termCounters{}
 	blocks := (n + streamBlock - 1) / streamBlock
 	workers := e.workers()

@@ -7,6 +7,7 @@ package explore
 
 import (
 	"repro/internal/core"
+	"repro/internal/ic"
 	"repro/internal/metrics"
 	"repro/internal/units"
 )
@@ -19,10 +20,11 @@ type pairedReport struct {
 	o core.OperationalReport
 }
 
-// reportArena hands out stamped reports chunk-wise. Memo-cache entries
-// retain pointers into the chunks indefinitely (exactly as they retain the
-// scalar path's per-candidate allocations), so chunks are never recycled —
-// the arena only batches 64 report allocations into one.
+// reportArena hands out stamped reports chunk-wise. Sinks and
+// Result-valued reducers may retain any report they are handed, so chunks
+// are never recycled — the arena only batches 64 report allocations into
+// one. Nothing else points into a chunk (the kernel writes no memo entry),
+// so a chunk lives exactly as long as some retained Result references it.
 type reportArena struct {
 	chunk []pairedReport
 	used  int
@@ -32,7 +34,7 @@ const arenaChunk = streamBlock
 
 // next returns a zeroed report pair. Pointer stability: a fresh chunk is a
 // new allocation, never a resize, so previously returned pointers stay
-// valid (the memo cache owns them once stamped).
+// valid for whoever retains them.
 func (a *reportArena) next() *pairedReport {
 	if a.used == len(a.chunk) {
 		a.chunk = make([]pairedReport, arenaChunk)
@@ -52,12 +54,6 @@ type pairPrep struct {
 	// the pair; set by the first stamped candidate.
 	annual   units.Carbon
 	annualOK bool
-
-	// keyBase is the hoisted memo-key prefix (hashOperationalPrefix over
-	// the pair's embodied sub-key): per candidate only the lifetime and
-	// efficiency words remain to fold.
-	keyBase   hash128
-	keyBaseOK bool
 
 	// er is the pair's embodied term, resolved through embodiedFor by the
 	// run's first computed candidate; later candidates reuse it and batch
@@ -94,14 +90,11 @@ type blockState struct {
 	pi    []int32   // pair-index column
 	offs  []int32   // ID offsets: candidate j's ID is ids[offs[j]:offs[j+1]]
 
-	keys   []keyPair    // memo-key column (hoisted prefix + per-candidate tail)
-	ents   []*memoEntry // memo entries, batch-probed in one cache sweep
-	hitCol []bool       // whether ents[j] pre-existed
-
 	preps   []pairPrep          // per pair (len(pairs)+1; last = baseline)
 	baseRep []*core.TotalReport // per lifetime index: the run's 2D baseline
 	baseErr []error
 	baseSet []bool
+	mono    int // index of the Mono2D pair, whose reports double as baselines; -1 if none
 
 	idBuf []byte // run ID render buffer
 	arena reportArena
@@ -110,25 +103,30 @@ type blockState struct {
 	// Add per counter instead of one per candidate). embHits counts
 	// embodied-term reuses off the run's hoisted copy — the increments
 	// embodiedFor itself would have made.
-	hits, evals, stencils, embHits uint64
+	evals, stencils, embHits uint64
 }
 
 // newBlockState sizes a worker's scratch for plan p.
 func newBlockState(p *iterPlan) *blockState {
 	it := p.it
-	return &blockState{
+	bs := &blockState{
 		years:   make([]float64, 0, streamBlock),
 		pi:      make([]int32, 0, streamBlock),
 		offs:    make([]int32, 0, streamBlock+1),
-		keys:    make([]keyPair, 0, streamBlock),
-		ents:    make([]*memoEntry, streamBlock),
-		hitCol:  make([]bool, streamBlock),
 		preps:   make([]pairPrep, len(it.pairs)+1),
 		baseRep: make([]*core.TotalReport, len(it.years)),
 		baseErr: make([]error, len(it.years)),
 		baseSet: make([]bool, len(it.years)),
+		mono:    -1,
 		idBuf:   make([]byte, 0, 128),
 	}
+	for pi, pair := range it.pairs {
+		if pair.integ == ic.Mono2D {
+			bs.mono = pi
+			break
+		}
+	}
+	return bs
 }
 
 // resetRun clears the per-run state (columns, pair preps, baseline cache).
@@ -136,7 +134,6 @@ func (bs *blockState) resetRun() {
 	bs.years = bs.years[:0]
 	bs.pi = bs.pi[:0]
 	bs.offs = bs.offs[:0]
-	bs.keys = bs.keys[:0]
 	clear(bs.preps)
 	clear(bs.baseRep)
 	clear(bs.baseErr)

@@ -57,7 +57,8 @@ func (s SliceSource) At(i int) (Candidate, error) { return s[i], nil }
 // concurrently; returning an error aborts the stream and surfaces the
 // error from Stream. The Result and everything it references are valid
 // indefinitely (designs decoded by the space iterator are immutable and
-// shared, reports are memoized) — reducers may retain them.
+// shared, reports are never mutated once delivered) — reducers may retain
+// them.
 type Sink func(Result) error
 
 // StreamStats describes one Stream call's pipeline behaviour.
@@ -170,9 +171,7 @@ func (e *Engine) streamRange(ctx context.Context, src Source, lo, hi int, sink S
 	if n == 0 {
 		return st, ctx.Err()
 	}
-	// A cold planned stream inserts one memo entry per candidate; size the
-	// evaluation cache for them up front (no-op for warm or bounded caches).
-	e.memo().reserve(n)
+	e.prepareCache(src, n)
 	tc := &termCounters{}
 	stop, unwatch := watchContext(ctx)
 	defer unwatch()
@@ -187,6 +186,19 @@ func (e *Engine) streamRange(ctx context.Context, src Source, lo, hi int, sink S
 		st, err = e.streamParallel(ctx, src, lo, hi, sink, st, workers, stop, tc)
 	}
 	return finishStreamStats(st, tc), err
+}
+
+// prepareCache builds the engine's caches before a stream or reduce touches
+// them: memo pins the fingerprint words and the embodied cache that plan
+// slots resolve through, so it runs for every source. Only the scalar path
+// inserts evaluation memo entries — one per distinct candidate on a cold
+// stream — so only it sizes the memo for n up front (a no-op for warm or
+// bounded caches); the block kernel never touches the memo.
+func (e *Engine) prepareCache(src Source, n int) {
+	memo := e.memo()
+	if e.blockPlan(src) == nil {
+		memo.reserve(n)
+	}
 }
 
 // finishStreamStats folds the per-call term counters into the stats.

@@ -782,9 +782,14 @@ func (s *Service) persist(rec Record) error {
 	return err
 }
 
-// emit appends one event to the job's stream, persists it and notifies
-// subscribers. emitMu keeps seq assignment and persistence in the same
-// order, so the replayed log is always seq-ascending per job.
+// emit persists one event and, once it is durable, appends it to the
+// job's stream and notifies subscribers. An event whose append fails is
+// dropped, so the next event takes its seq and the live log stays exactly
+// what a replay serves. A terminal state event is published even then:
+// live tailers must see the stream end, and replay, finding the terminal
+// job record without it, synthesizes it at the same seq. emitMu keeps seq
+// assignment and persistence in the same order, so the replayed log is
+// always seq-ascending per job.
 func (s *Service) emit(id string, ev Event) {
 	s.emitMu.Lock()
 	defer s.emitMu.Unlock()
@@ -795,16 +800,21 @@ func (s *Service) emit(id string, ev Event) {
 		return
 	}
 	ev.Seq = len(e.events) + 1
+	s.mu.Unlock()
+
+	err := s.persist(Record{Kind: "event", JobID: id, Event: &ev})
+	if err != nil && !(ev.Type == "state" && ev.State.Terminal()) {
+		return
+	}
+	s.mu.Lock()
 	e.events = append(e.events, ev)
 	subs := subscribers(e)
 	s.mu.Unlock()
-
-	s.persist(Record{Kind: "event", JobID: id, Event: &ev})
 	notify(subs)
 }
 
 // checkpoint makes cp durable together with the progress event that
-// announces it: one record, one append. Unlike emit, it publishes nothing
+// announces it: one record, one append. Like emit, it publishes nothing
 // before the append succeeds — the checkpoint and its event become
 // visible together once durable, and a failed append leaves neither.
 func (s *Service) checkpoint(e *jobEntry, id string, cp *Checkpoint) error {

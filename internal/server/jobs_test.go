@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -399,5 +400,69 @@ func TestExploreTimeoutInBand(t *testing.T) {
 	}
 	if em := s.metrics["/v1/explore"]; em.errors.Load() != 1 {
 		t.Errorf("timeout not accounted as an error")
+	}
+}
+
+// A job streams its planned space through the block kernel, which never
+// writes the whole-report memo, so a job larger than the cache leaves
+// /v1/evaluate's entries resident: the same design evaluated before and
+// after the job is a cache hit the second time, with nothing evicted.
+func TestJobLeavesEvaluateCacheResident(t *testing.T) {
+	if os.Getenv(explore.ScalarOnlyEnv) != "" {
+		t.Skipf("%s set: jobs take the memoizing scalar path", explore.ScalarOnlyEnv)
+	}
+	s := newJobServer(t, Options{CacheLimit: 1024})
+	engineStats := func() apitypes.EngineStats {
+		t.Helper()
+		var st apitypes.StatsResponse
+		if err := json.Unmarshal(get(t, s, "/v1/stats").Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		return st.Engine
+	}
+	evaluate := func() {
+		t.Helper()
+		if rec := post(t, s, "/v1/evaluate", apitypes.EvaluateRequest{Design: loadLakefield(t)}); rec.Code != http.StatusOK {
+			t.Fatalf("evaluate = %d: %s", rec.Code, rec.Body)
+		}
+	}
+	evaluate()
+	before := engineStats()
+
+	// 8 integrations × 2 nodes × 4 use grids × 20 lifetimes = 1,280
+	// planned candidates, more than the 1,024-entry cache holds.
+	years := make([]float64, 20)
+	for i := range years {
+		years[i] = float64(i + 1)
+	}
+	rec := post(t, s, "/v1/jobs", map[string]any{
+		"space": map[string]any{
+			"name":           "cache-resident",
+			"nodes_nm":       []int{5, 7},
+			"use_locations":  []string{"usa", "norway", "india", "europe"},
+			"lifetime_years": years,
+		},
+		"top": 10,
+	})
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("submit = %d: %s", rec.Code, rec.Body)
+	}
+	var job apitypes.JobStatus
+	if err := json.Unmarshal(rec.Body.Bytes(), &job); err != nil {
+		t.Fatal(err)
+	}
+	if job.Total != 1280 {
+		t.Fatalf("job spans %d candidates, want 1280", job.Total)
+	}
+	waitJobState(t, s, job.ID, "done")
+
+	evaluate()
+	after := engineStats()
+	if after.CacheHits != before.CacheHits+1 {
+		t.Errorf("re-evaluating after the job: cache hits %d → %d, want one more",
+			before.CacheHits, after.CacheHits)
+	}
+	if after.Evictions != 0 {
+		t.Errorf("the job evicted %d of /v1/evaluate's entries", after.Evictions)
 	}
 }

@@ -7,10 +7,12 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/explore"
 	"repro/internal/server/apitypes"
 )
 
@@ -48,8 +50,8 @@ func TestExploreMillionPointsUnderHeapCeiling(t *testing.T) {
 	}
 
 	// 8 integrations × one strategy × 125k lifetimes = exactly the default
-	// MaxSpace. Distinct lifetimes defeat the memo cache on purpose — every
-	// candidate is a real evaluation, the worst case for retention.
+	// MaxSpace. Distinct lifetimes make every candidate a real evaluation,
+	// the worst case for retention.
 	years := make([]float64, 125_000)
 	for i := range years {
 		years[i] = 1 + float64(i)/10_000
@@ -131,8 +133,18 @@ func TestExploreMillionPointsUnderHeapCeiling(t *testing.T) {
 	if len(ev.Summary.Frontier) == 0 {
 		t.Error("empty frontier")
 	}
-	if ev.Summary.Stats.Evictions == 0 {
-		t.Error("a 1M-evaluation sweep through a 4096-entry cache must evict")
+	// A planned space streams through the block kernel, which never writes
+	// the whole-report memo: the 4096-entry cache that /v1/evaluate relies
+	// on comes out of a million evaluations untouched. With the kernel
+	// forced off, the memoizing scalar path must evict instead.
+	st := ev.Summary.Stats
+	if os.Getenv(explore.ScalarOnlyEnv) != "" {
+		if st.Evictions == 0 {
+			t.Error("a 1M-evaluation scalar sweep through a 4096-entry cache must evict")
+		}
+	} else if st.Evictions != 0 || st.CacheEntries != 0 {
+		t.Errorf("a planned 1M-candidate sweep touched the 4096-entry cache: %d evictions, %d entries",
+			st.Evictions, st.CacheEntries)
 	}
 	if peakHeap > heapCeiling {
 		t.Errorf("peak heap %d MB over the %d MB ceiling — the stream is retaining per-candidate state",
